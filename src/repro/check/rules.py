@@ -503,19 +503,29 @@ class SilentExceptRule(Rule):
 
 # --------------------------------------------------------------------- RC006
 
-_DISPATCH_METHODS = {"apply_async", "map_async", "imap", "imap_unordered"}
+_POOL_CONSTRUCTORS = {"ProcessPoolExecutor"}
+#: Pool methods taking the dispatched callable as first argument — matched
+#: only on a receiver bound to a pool constructor, since ``submit`` alone
+#: also names the serve job queue's entry point.
+_DISPATCH_METHODS = {"submit", "map"}
+#: The pool supervisor's entry point: its arguments cross the boundary too.
 _DISPATCH_FUNCS = {"submit_scenario"}
+
+
+def _is_pool_constructor(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and (
+        _dotted(node.func) or "").rsplit(".", 1)[-1] in _POOL_CONSTRUCTORS
 
 
 @register
 class PoolBoundaryRule(Rule):
     """RC006: pool dispatch takes module-level callables only.
 
-    ``multiprocessing`` pickles the dispatched callable by qualified
-    name; lambdas and closures either fail outright or smuggle whole
-    enclosing scopes across the process boundary.  ROADMAP item 5's
-    zero-pickle shared-memory dispatch hardens this into a protocol —
-    the boundary must already be clean.
+    A process pool pickles the dispatched callable by qualified name;
+    lambdas and closures either fail outright or smuggle whole enclosing
+    scopes across the process boundary.  ROADMAP item 5's zero-pickle
+    shared-memory dispatch hardens this into a protocol — the boundary
+    must already be clean.
     """
 
     id = "RC006"
@@ -524,6 +534,7 @@ class PoolBoundaryRule(Rule):
     def check(self, cf: CheckedFile) -> Iterable[Finding]:
         findings: List[Finding] = []
         module_names = self._module_bindings(cf.tree)
+        pools = self._pool_bindings(cf.tree)
         for fn in ast.walk(cf.tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -531,8 +542,25 @@ class PoolBoundaryRule(Rule):
             for node in ast.walk(fn):
                 if isinstance(node, ast.Call):
                     findings.extend(self._check_dispatch(
-                        cf, node, local, module_names))
+                        cf, node, local, module_names, pools))
         return findings
+
+    def _pool_bindings(self, tree: ast.AST) -> Set[str]:
+        """Dotted names bound to a process-pool constructor anywhere in
+        the file (``x = ...``, ``self.x = ...``, ``with ... as x``)."""
+        names: Set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                value, targets = node.value, node.targets
+            elif isinstance(node, ast.AnnAssign):
+                value, targets = node.value, [node.target]
+            elif isinstance(node, ast.withitem):
+                value, targets = node.context_expr, [node.optional_vars]
+            else:
+                continue
+            if _is_pool_constructor(value):
+                names.update(filter(None, map(_dotted, targets)))
+        return names
 
     def _module_bindings(self, tree: ast.AST) -> Set[str]:
         names: Set[str] = set()
@@ -569,14 +597,16 @@ class PoolBoundaryRule(Rule):
         return names
 
     def _check_dispatch(self, cf: CheckedFile, call: ast.Call,
-                        local: Set[str],
-                        module_names: Set[str]) -> Iterable[Finding]:
-        # apply_async-family dispatch takes the callable as its first arg;
-        # submit_scenario takes a (slotted, picklable) scenario, so only
-        # the lambda/closure sweep of its arguments applies.
+                        local: Set[str], module_names: Set[str],
+                        pools: Set[str]) -> Iterable[Finding]:
+        # Executor dispatch takes the callable as its first arg;
+        # submit_scenario takes a registered scenario's name, so only the
+        # lambda/closure sweep of its arguments applies.
         first_arg_is_callable = False
         if isinstance(call.func, ast.Attribute) \
-                and call.func.attr in _DISPATCH_METHODS:
+                and call.func.attr in _DISPATCH_METHODS \
+                and (_is_pool_constructor(call.func.value)
+                     or _dotted(call.func.value) in pools):
             first_arg_is_callable = True
         elif not (isinstance(call.func, ast.Name)
                   and call.func.id in _DISPATCH_FUNCS):

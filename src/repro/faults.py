@@ -21,9 +21,12 @@ it; :func:`activate_from_env` (called from the worker entrypoints and the
 write hook) adopts the inherited plan lazily.
 
 Determinism without shared state: worker faults are gated on the task's
-*attempt number* (shipped with the task), so "kill the worker on attempt 0
-of scenario X" fires exactly once no matter how many times the pool is
-respawned, and probabilistic faults hash ``(seed, spec, key, attempt)``
+*attempt number* (shipped with the task: its charged failures so far), so
+"kill the worker on attempt 0 of scenario X" fires on that attempt only,
+however many times the pool is restarted — an uncharged re-run, after a
+pool break shared with other tasks, repeats the attempt and fires again,
+which is how the supervisor pins the break on X — and probabilistic
+faults hash ``(seed, spec, key, attempt)``
 instead of consulting a stateful RNG (at write sites, where the path is
 constant across appends, a per-spec consult sequence number stands in
 for the attempt).  ``times`` additionally caps firings

@@ -73,6 +73,7 @@ touch disk or re-serialise.
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import math
 import re
@@ -93,7 +94,7 @@ from ..obs.trace import TRACER
 from ..pipeline import BASELINE_PLANNERS
 from ..scenarios.registry import get_scenario, list_scenarios
 from ..sweep.results import default_store_path
-from ..sweep.runner import DEFAULT_BASELINES, DEFAULT_CACHE_DIR
+from ..sweep.runner import DEFAULT_BASELINES, DEFAULT_CACHE_DIR, respawn_pool
 from .breaker import CircuitOpen
 from .catalog import catalog_etag, catalog_payload
 from .http import HTTPError, Request, Response, json_response
@@ -323,7 +324,6 @@ class ReproApp:
         if self.runtime_interval_s > 0:
             RUNTIME.start(interval_s=self.runtime_interval_s)
         try:
-            import asyncio
             loop = asyncio.get_running_loop()
         except RuntimeError:
             loop = None
@@ -356,6 +356,9 @@ class ReproApp:
         RUNTIME.stop()
         self.history.stop()
         await self.jobs.close()
+        # Kill and reap the pool's workers now: left to interpreter exit, a
+        # hung worker would stall it and outlive the server.
+        await asyncio.to_thread(respawn_pool, "serve-close")
         self.store.close()
 
     async def handle(self, request: Request) -> Response:

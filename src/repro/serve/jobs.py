@@ -1,7 +1,7 @@
 """Background pipeline execution for the serving layer.
 
 A bounded queue of *jobs* — one registered scenario each — dispatched onto
-the **shared** warm multiprocessing pool of :mod:`repro.sweep.runner`
+the **shared** warm process pool of :mod:`repro.sweep.runner`
 (:func:`~repro.sweep.runner.submit_scenario`; never a second pool), so an
 HTTP-submitted run and a CLI sweep compete for the same workers instead of
 oversubscribing the machine.
@@ -14,22 +14,24 @@ job whose scenario is already cached completes instantly without touching
 the pool.
 
 Lifecycle per job: ``queued`` → ``running`` → one of ``ok`` / ``error`` /
-``timeout`` / ``cancelled``.  Failure handling (PR 8):
+``timeout`` / ``cancelled``.  A job runs as one supervised pool task
+(:func:`~repro.sweep.runner.submit_scenario`), awaited through
+``asyncio.wrap_future`` — no polling.  Failure handling:
 
-* a worker that **dies** mid-task (the dispatcher sees worker pids vanish,
-  or the pool generation change, or ``get()`` raise) costs the job one of
-  its ``retries`` re-dispatches — with backoff — before it is marked
-  ``error``; the dispatcher itself always survives;
-* a job past ``timeout_s`` gets **real** timeout semantics: the shared
-  pool is respawned (killing the hung worker — a pool task cannot be
-  killed individually), so the slot is actually freed instead of leaking
-  behind an "abandoned" task;
+* the supervisor retries a lost worker up to ``retries`` times, with
+  backoff, under its blame rule: a pool break with several tasks in flight
+  charges none of them and re-runs each alone.  A job whose budget runs
+  out ends ``error`` with its quarantine record; the dispatcher itself
+  always survives;
+* one ``timeout_s`` covers every attempt: at the deadline the job's
+  future is cancelled, which kills its worker, so the slot is actually
+  freed instead of leaking behind an abandoned task;
 * repeated failures of one scenario trip its **circuit breaker**
   (:mod:`repro.serve.breaker`): submissions are refused with 503 until a
   half-open probe succeeds, so a poisoned scenario cannot starve the
   queue;
 * cancellation is immediate for queued jobs; a cancelled *running* job's
-  result is abandoned while its dispatcher drains the worker before
+  result is abandoned while its dispatcher waits for the worker before
   dispatching new work — abandonment never over-commits the pool;
 * during **drain** (SIGTERM) the queue refuses new work and waits for
   in-flight jobs up to a deadline.
@@ -38,8 +40,8 @@ Lifecycle per job: ``queued`` → ``running`` → one of ``ok`` / ``error`` /
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -55,23 +57,12 @@ from ..sweep.runner import (
     DEFAULT_BASELINES,
     DEFAULT_CACHE_DIR,
     load_cached_record,
-    pool_generation,
-    respawn_pool,
     store_record,
     submit_scenario,
-    worker_deaths,
 )
 from .breaker import BreakerBoard
 
 __all__ = ["Job", "JobQueue", "QueueFull"]
-
-#: How often a dispatcher polls its in-flight pool task.
-_POLL_INTERVAL_S = 0.05
-#: How long after observing *some* worker death a dispatcher waits for its
-#: own result before declaring the task lost — a death elsewhere (or a
-#: ``maxtasksperchild`` recycle) usually lets the result land within a poll
-#: or two.
-_DEATH_GRACE_S = 0.25
 
 _LOG = get_logger("serve.jobs")
 
@@ -204,13 +195,14 @@ class JobQueue:
         self.on_persist_error = on_persist_error
         self.breakers = BreakerBoard(threshold=breaker_threshold,
                                      cooldown_s=breaker_cooldown_s)
+        #: Every tracked job, in submission order.
         self._jobs: Dict[str, Job] = {}
-        self._order: List[str] = []
         self._queue: "asyncio.Queue[str]" = asyncio.Queue()
         self._ids = itertools.count(1)
         self._dispatchers: List[asyncio.Task] = []
         self._draining = False
-        self._rng = random.Random(0x0B5E)
+        #: Set once draining and no job is left unfinished.
+        self._idle = asyncio.Event()
         self.completed = 0
         #: Dispatchers with a pool task in flight right now — the
         #: pool-utilisation gauge's source (``repro_pool_busy_workers``).
@@ -255,9 +247,9 @@ class JobQueue:
         drain are refused with :class:`QueueFull` (503 to clients).
         """
         self._draining = True
-        deadline = time.monotonic() + max(0.0, timeout_s)
-        while self.pending() and time.monotonic() < deadline:
-            await asyncio.sleep(_POLL_INTERVAL_S)
+        if self.pending():
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(self._idle.wait(), max(0.0, timeout_s))
         leftover = [j for j in self._jobs.values() if not j.done]
         for job in leftover:
             self._finish(job, "cancelled")
@@ -296,7 +288,6 @@ class JobQueue:
                   rerun=bool(rerun), trace_ctx=trace_ctx,
                   profile_hz=max(0, int(profile_hz)))
         self._jobs[job.id] = job
-        self._order.append(job.id)
         self._queue.put_nowait(job.id)
         self._trim()
         return job
@@ -306,7 +297,7 @@ class JobQueue:
 
     def jobs(self) -> List[Job]:
         """Every tracked job, submission order."""
-        return [self._jobs[job_id] for job_id in self._order]
+        return list(self._jobs.values())
 
     def cancel(self, job_id: str) -> Job:
         """Cancel a job: immediate while queued, best-effort while running
@@ -319,15 +310,10 @@ class JobQueue:
         return job
 
     def _trim(self) -> None:
-        """Bound the finished-job history."""
-        while len(self._order) > self.keep_finished:
-            for index, job_id in enumerate(self._order):
-                if self._jobs[job_id].done:
-                    del self._jobs[job_id]
-                    del self._order[index]
-                    break
-            else:
-                return
+        """Bound the finished-job history, oldest first."""
+        finished = [j for j in self._jobs.values() if j.done]
+        for job in finished[:max(0, len(self._jobs) - self.keep_finished)]:
+            del self._jobs[job.id]
 
     def _finish(self, job: Job, status: str,
                 record: Optional[SweepRecord] = None,
@@ -339,6 +325,8 @@ class JobQueue:
         job.finished_at = time.time()     # wall clock: display only
         job.finished_mono = time.monotonic()
         self.completed += 1
+        if self._draining and not self.pending():
+            self._idle.set()
         # Feed the scenario's circuit breaker: successes close it, errors
         # and timeouts push it open, a cancellation releases any half-open
         # probe without a verdict.
@@ -348,9 +336,9 @@ class JobQueue:
             self.breakers.record(job.scenario, ok=False)
         else:
             self.breakers.abandon(job.scenario)
-        # The job interval is enclosed by no single frame (it spans poll
-        # iterations), so it is recorded retroactively — a no-op without a
-        # trace context.
+        # The job interval is enclosed by no single frame (it spans the
+        # queue and the pool), so it is recorded retroactively — a no-op
+        # without a trace context.
         start = job.started_at if job.started_at is not None \
             else job.submitted_at
         start_mono = job.started_mono if job.started_mono is not None \
@@ -424,104 +412,35 @@ class JobQueue:
                 self._persist(job, cached)
                 self._finish(job, "ok", record=cached)
                 return
-        # Dispatch onto the shared warm pool and poll without blocking the
-        # event loop.  One overall deadline covers every attempt: a retry
-        # does not extend the client-visible timeout.
-        deadline = time.monotonic() + self.timeout_s
-        attempt = 0
-        while True:
-            outcome = await self._attempt(job, attempt, deadline)
-            if outcome is None:             # terminal inside the attempt
-                return
-            kind, detail = outcome
-            if kind == "ok":
-                return
-            # An infrastructure failure (lost worker, respawned pool,
-            # crashed deserialisation): retry with backoff, then give up.
-            if attempt >= self.retries:
-                self._finish(job, "error",
-                             error=f"worker lost after {attempt + 1} "
-                                   f"attempts ({detail})")
-                return
-            attempt += 1
-            job.retries_used = attempt
-            _JOB_RETRIES.labels(reason=kind).inc()
-            _LOG.warning("event=job_retry %s",
-                         kv(job=job.id, scenario=job.scenario,
-                            attempt=attempt, reason=kind, detail=detail))
-            backoff = min(2.0, 0.1 * (2 ** (attempt - 1))) \
-                * (0.5 + self._rng.random())
-            await asyncio.sleep(backoff)
-
-    async def _attempt(self, job: Job, attempt: int, deadline: float
-                       ) -> Optional[Tuple[str, str]]:
-        """One pool dispatch of ``job``.
-
-        Returns ``("ok", "")`` after finishing the job, a
-        ``(reason, detail)`` pair when the dispatch was lost to
-        infrastructure (caller retries), or ``None`` when the job reached a
-        terminal state here (timeout) or externally (cancelled).
-        """
-        async_result = submit_scenario(job.scenario, self.pool_processes,
-                                       period_s=job.period_s,
-                                       baselines=job.baselines,
-                                       trace_ctx=job.trace_ctx,
-                                       profile_hz=job.profile_hz,
-                                       attempt=attempt)
+        # One supervised pool task: the supervisor retries lost workers,
+        # and one deadline covers every attempt — a retry does not extend
+        # the client-visible timeout.  At the deadline wait_for cancels
+        # the future, which kills its worker.
+        future = submit_scenario(job.scenario, self.pool_processes,
+                                 period_s=job.period_s,
+                                 baselines=job.baselines,
+                                 trace_ctx=job.trace_ctx,
+                                 profile_hz=job.profile_hz,
+                                 retries=self.retries)
         self._busy += 1
         try:
-            return await self._await_attempt(job, async_result, deadline)
+            record, counter_deltas, worker_spans, profile, runtime = \
+                await asyncio.wait_for(asyncio.wrap_future(future),
+                                       self.timeout_s)
+        except asyncio.TimeoutError:
+            if not job.done:
+                self._finish(job, "timeout",
+                             error=f"job exceeded {self.timeout_s:g}s; its "
+                                   "worker was killed and the pool "
+                                   "respawned")
+            return
         finally:
             self._busy -= 1
-
-    async def _await_attempt(self, job: Job, async_result, deadline: float
-                             ) -> Optional[Tuple[str, str]]:
-        # Snapshot *after* submit: warming a fresh pool bumps the
-        # generation, and that must not read as a mid-task respawn.
-        generation = pool_generation()
-        deaths = worker_deaths()
-        death_seen_at: Optional[float] = None
-        while not async_result.ready():
-            now = time.monotonic()
-            if now > deadline:
-                # True timeout semantics: the hung worker cannot be killed
-                # individually, so the pool is respawned — the slot is
-                # genuinely freed for the next job instead of leaking
-                # behind an abandoned task.
-                respawn_pool("job-timeout")
-                if not job.done:
-                    self._finish(job, "timeout",
-                                 error=f"job exceeded {self.timeout_s:g}s; "
-                                       "its worker was killed and the pool "
-                                       "respawned")
-                return None
-            if pool_generation() != generation:
-                # The pool was torn down underneath us (another job's
-                # timeout, a sweep's deadline): this AsyncResult will never
-                # complete.
-                return ("pool-respawn", "pool respawned mid-task")
-            if worker_deaths() > deaths:
-                # Some worker vanished; ours may be the casualty.  Give a
-                # short grace for a surviving result to land, then retry.
-                if death_seen_at is None:
-                    death_seen_at = now
-                elif now - death_seen_at > _DEATH_GRACE_S:
-                    return ("worker-death",
-                            "a pool worker died with a task in flight")
-            # A cancelled job's dispatcher keeps draining the worker before
-            # taking new work (returning early would over-commit the pool);
-            # the deadline above bounds even that drain.
-            await asyncio.sleep(_POLL_INTERVAL_S)
+            job.retries_used = len(future.redispatches)
+            for reason in future.redispatches:
+                _JOB_RETRIES.labels(reason=reason).inc()
         if job.done:                        # cancelled mid-flight: discard
-            return None
-        try:
-            record, counter_deltas, worker_spans, profile, runtime = \
-                async_result.get()   # repro: noqa[RC004] — .ready() was
-            # polled above, so this get() returns without blocking
-        except Exception as exc:            # noqa: BLE001 — a worker that
-            # died mid-task (or injected chaos) surfaces here; the
-            # dispatcher must survive it and retry, not die with it.
-            return ("worker-crash", f"{type(exc).__name__}: {exc}")
+            return
         # Pipeline work happened in a pool worker whose perf counters and
         # span ring are invisible here; fold the deltas in (atomically) so
         # /metrics in this process reflects the work its jobs caused,
@@ -537,4 +456,3 @@ class JobQueue:
         RUNTIME.ingest(runtime)
         self._persist(job, record)
         self._finish(job, "ok" if record.ok else "error", record=record)
-        return ("ok", "")

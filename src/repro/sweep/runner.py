@@ -1,10 +1,10 @@
-"""The parallel sweep runner.
+"""The parallel sweep runner and the pool supervisor it shares with serve.
 
-:func:`run_sweep` shards a list of registered scenarios across a
-``multiprocessing`` pool, runs the full map → plan → quality pipeline per
-scenario (:func:`repro.pipeline.run_pipeline`), caches each result on disk
-keyed by scenario content hash + code version, and aggregates the outcomes
-into a JSONL result store plus summary rows.
+:func:`run_sweep` shards a list of registered scenarios across a warm
+process pool, runs the full map → plan → quality pipeline per scenario
+(:func:`repro.pipeline.run_pipeline`), caches each result on disk keyed by
+scenario content hash + code version, and aggregates the outcomes into a
+JSONL result store plus summary rows.
 
 Cache layout (one file per scenario × code state × run parameters)::
 
@@ -16,36 +16,53 @@ cache, editing a scenario's parameters invalidates that scenario only, and
 sweeping with different run parameters (``period_s`` / ``baselines``) uses
 separate cache entries.
 
-Crash resilience (PR 8): parallel dispatch is per-task ``apply_async`` —
-slightly more IPC than chunked ``imap_unordered``, but each task gets a
-deadline, a retry budget and an owner that can observe its fate.  A worker
-killed mid-task (OOM, segfault, injected fault) no longer wedges the sweep:
-the pool's maintenance thread replaces the process, the engine notices the
-death by polling worker pids and re-dispatches in-flight tasks
-(first-completed-dispatch-wins, so ``maxtasksperchild`` recycling false
-positives are harmless), a hung task trips its per-task deadline, which
-respawns the pool and requeues the innocent bystanders without burning
-their retry budget.  Retries back off exponentially with seeded jitter; a
-task that exhausts ``retries`` is quarantined as a ``status="failed"``
-record instead of sinking the sweep.  Every retry, respawn, death,
-deadline and quarantine is a :mod:`repro.obs` counter plus a structured
-log line.
+Crash resilience: every pool task — a sweep's and the serving layer's
+alike — goes through one supervisor (:func:`submit_scenario`).  It owns a
+warm ``concurrent.futures.ProcessPoolExecutor`` of forked workers and
+returns a future per task, which it settles under a retry budget and an
+optional per-attempt deadline:
+
+* a worker that dies (OOM, segfault, injected ``kill``) breaks the pool,
+  and every task in flight on it fails with ``BrokenProcessPool``.  The
+  blame rule: a break with one task in flight charges that task; a break
+  with several charges none and re-runs each suspect alone, so the culprit
+  is caught on its own and its co-tenants never pay for it;
+* a task past its deadline (or a cancelled one) can only be stopped by
+  killing the pool's workers: the expired task is charged, the others
+  re-run uncharged;
+* an exception out of the worker (injected ``raise``) is charged;
+* a charged failure backs off exponentially with seeded jitter, and a task
+  whose ``retries`` are spent resolves to a ``status="failed"`` quarantine
+  record instead of sinking its caller.
+
+Every retry, respawn, death, deadline and quarantine is a :mod:`repro.obs`
+counter plus a structured log line.
 """
 
 from __future__ import annotations
 
-import atexit
+import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import random
+import signal
 import threading
 import time
 import traceback
-from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    InvalidStateError,
+    ProcessPoolExecutor,
+    wait,
+)
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..analysis import render_table
@@ -70,9 +87,8 @@ from .results import (
 
 __all__ = ["SweepResult", "TaskContext", "code_version", "cache_path",
            "run_scenario", "run_sweep", "load_cached_record", "store_record",
-           "submit_scenario", "respawn_pool", "pool_generation",
-           "worker_deaths", "DEFAULT_CACHE_DIR", "DEFAULT_BASELINES",
-           "DEFAULT_RETRIES", "DEFAULT_TASK_DEADLINE_S"]
+           "submit_scenario", "respawn_pool", "DEFAULT_CACHE_DIR",
+           "DEFAULT_BASELINES", "DEFAULT_RETRIES", "DEFAULT_TASK_DEADLINE_S"]
 
 DEFAULT_CACHE_DIR = ".sweep-cache"
 #: Baselines evaluated per scenario; a subset of the CLI ``quality`` set to
@@ -80,12 +96,8 @@ DEFAULT_CACHE_DIR = ".sweep-cache"
 DEFAULT_BASELINES: Tuple[str, ...] = ("global-clique", "subnet")
 #: Extra attempts a task gets after its first failure before quarantine.
 DEFAULT_RETRIES = 2
-#: Per-task wall-clock deadline; expiring it respawns the pool.
+#: Per-task wall-clock deadline; expiring it restarts the pool.
 DEFAULT_TASK_DEADLINE_S = 600.0
-#: Worker processes are recycled after this many tasks — bounded drift for
-#: leaky native code, and a standing exercise of the death-tolerant
-#: dispatch path.
-DEFAULT_MAXTASKSPERCHILD = 256
 
 _LOG = get_logger("sweep")
 
@@ -94,29 +106,29 @@ _TASK_ERRORS = REGISTRY.counter(
     "scenario runs that produced an error record")
 _TASK_RETRIES = REGISTRY.counter(
     "repro_sweep_task_retries_total",
-    "sweep task re-dispatches, by trigger",
+    "pool task re-dispatches, by trigger",
     labels=("reason",))
 _TASKS_QUARANTINED = REGISTRY.counter(
     "repro_sweep_tasks_quarantined_total",
-    "sweep tasks marked failed after exhausting their retry budget")
+    "pool tasks marked failed after exhausting their retry budget")
 _POOL_RESPAWNS = REGISTRY.counter(
     "repro_sweep_pool_respawns_total",
-    "worker pool teardowns forced by deadlines, timeouts or callers")
+    "worker pool teardowns forced by deadlines, cancellations or callers")
 _WORKER_DEATHS = REGISTRY.counter(
     "repro_sweep_worker_deaths_total",
-    "pool worker processes observed to have disappeared")
+    "pool breaks caused by a worker process dying")
 _TASK_DEADLINES = REGISTRY.counter(
     "repro_sweep_task_deadlines_total",
-    "sweep tasks that exceeded their per-task deadline")
+    "pool tasks that exceeded their per-attempt deadline")
 _STORE_WRITE_ERRORS = REGISTRY.counter(
     "repro_sweep_store_write_errors_total",
     "cache/store writes that failed (sweep degraded, results kept in memory)")
 _SWEEP_INFLIGHT = REGISTRY.gauge(
     "repro_sweep_inflight_tasks",
-    "sweep tasks currently dispatched to pool workers")
+    "sweep tasks currently submitted to the pool supervisor")
 _SWEEP_PENDING = REGISTRY.gauge(
     "repro_sweep_pending_tasks",
-    "sweep tasks queued behind the pool's in-flight set")
+    "sweep tasks waiting for a slot in the sweep's window")
 
 
 @dataclass(frozen=True)
@@ -136,19 +148,19 @@ class TaskContext:
     trace: Optional[Dict[str, str]] = None
     #: Non-zero arms the worker's sampling profiler at this rate for the
     #: task; its collapsed stacks ride the result channel home (see
-    #: :func:`_worker_with_counters`).
+    #: :func:`_worker`).
     profile_hz: int = 0
-    #: 0-based retry attempt of this dispatch.  Rides with the task (rather
-    #: than living in worker state) so fault plans can target "attempt 0
-    #: only" deterministically across pool respawns.
+    #: 0-based retry attempt of this dispatch: the task's charged failures
+    #: so far.  Rides with the task (rather than living in worker state) so
+    #: fault plans can target "attempt 0 only" deterministically across
+    #: pool restarts.
     attempt: int = 0
 
     @classmethod
-    def current(cls, attempt: int = 0) -> "TaskContext":
+    def current(cls) -> "TaskContext":
         """The submitting process' state at call time."""
         return cls(fast_path=fast_path_enabled(),
-                   trace=TRACER.current_context(),
-                   attempt=attempt)
+                   trace=TRACER.current_context())
 
 
 @lru_cache(maxsize=1)
@@ -263,28 +275,9 @@ def run_scenario(scenario_or_name: "Scenario | str",
 
 
 def _worker(args: Tuple[Scenario, float, Tuple[str, ...], TaskContext]
-            ) -> SweepRecord:
-    scenario, period_s, baselines, context = args
-    # Chaos hook: adopt any env-propagated fault plan and fire worker
-    # faults (kill / hang / raise) scheduled for this scenario + attempt.
-    faults.activate_from_env()
-    faults.inject_worker(scenario.name, attempt=context.attempt)
-    # Apply the shipped per-task state (see TaskContext): the fast-path
-    # switch, and — under a sampled trace — a span adopting the submitter's
-    # context so the scenario's pipeline-stage spans parent correctly.
-    set_fast_path(context.fast_path)
-    with TRACER.adopt(context.trace, "sweep.run_scenario",
-                      scenario=scenario.name, fast_path=context.fast_path):
-        return run_scenario(scenario, period_s=period_s, baselines=baselines)
-
-
-def _worker_with_counters(args: Tuple[Scenario, float, Tuple[str, ...],
-                                      TaskContext]
-                          ) -> Tuple[SweepRecord, Dict[str, int],
-                                     List[Dict[str, object]],
-                                     Optional[Dict[str, object]],
-                                     Dict[str, object]]:
-    """Like :func:`_worker`, but ships the task's observability payload too.
+            ) -> Tuple[SweepRecord, Dict[str, int], List[Dict[str, object]],
+                       Optional[Dict[str, object]], Dict[str, object]]:
+    """Run one task; return its record plus its observability payload.
 
     ``repro.perf.COUNTERS`` and the span ring buffer are per-process, so
     pipeline work done in a pool worker is invisible to the submitting
@@ -307,13 +300,24 @@ def _worker_with_counters(args: Tuple[Scenario, float, Tuple[str, ...],
     (``repro trace --format chrome``) renders each worker as its own
     process track.
     """
-    context = args[3]
+    scenario, period_s, baselines, context = args
+    # Chaos hook: adopt any env-propagated fault plan and fire worker
+    # faults (kill / hang / raise) scheduled for this scenario + attempt.
+    faults.activate_from_env()
+    faults.inject_worker(scenario.name, attempt=context.attempt)
+    # Apply the shipped per-task state (see TaskContext): the fast-path
+    # switch, and — under a sampled trace — a span adopting the submitter's
+    # context so the scenario's pipeline-stage spans parent correctly.
+    set_fast_path(context.fast_path)
     before = counters_snapshot()
     with TRACER.capture() as captured, \
             task_runtime() as runtime, \
             PROFILER.maybe(bool(context.profile_hz),
-                           hz=context.profile_hz) as profile:
-        record = _worker(args)
+                           hz=context.profile_hz) as profile, \
+            TRACER.adopt(context.trace, "sweep.run_scenario",
+                         scenario=scenario.name, fast_path=context.fast_path):
+        record = run_scenario(scenario, period_s=period_s,
+                              baselines=baselines)
     after = counters_snapshot()
     deltas = {name: after[name] - before[name] for name in after}
     pid = os.getpid()
@@ -323,128 +327,327 @@ def _worker_with_counters(args: Tuple[Scenario, float, Tuple[str, ...],
             runtime.as_payload())
 
 
-# -- persistent warm worker pool ---------------------------------------------
-# Spawning a fresh multiprocessing pool per sweep re-pays interpreter start-up
-# and module import for every call; repeated sweeps (the CLI's dynamics run
-# after a static sweep, test suites, notebook loops) reuse one warm pool as
-# long as the requested worker count matches.  A generation counter is bumped
-# on every teardown/creation so dispatchers holding AsyncResults can tell
-# when their pool was replaced underneath them (the results will never
-# complete) and re-dispatch.
+# -- the pool supervisor ------------------------------------------------------
+# One warm executor per process, shared by sweeps and the serving layer, and
+# one supervisor thread that owns it: every dispatch, deadline, retry and
+# pool restart happens there.  Workers are forked, never spawned: they
+# inherit the parent's state (scenarios registered at run time, installed
+# tracing wrappers) and do not re-import the package.  ``fork`` rules out
+# ``max_tasks_per_child``, so workers live as long as their pool.
 
-_pool: Optional[multiprocessing.pool.Pool] = None
-_pool_processes = 0
-_pool_maxtasks: Optional[int] = None
-_pool_generation = 0
-_pool_pids: Set[int] = set()
-_pool_deaths = 0
-_pool_lock = threading.RLock()
+#: Base of the retry backoff ladder: 0.05, 0.1, 0.2, ... capped at 2 s,
+#: scaled by a jitter in [0.5, 1.5) seeded by scenario and attempt.
+_BACKOFF_BASE_S = 0.05
+_BACKOFF_CAP_S = 2.0
 
 
 def _pool_initializer() -> None:
-    # Runs in each worker at start: mark the process as killable/hangable by
-    # the fault layer, and adopt any env-propagated fault plan eagerly.
+    # Runs in each worker at start.  A forked worker inherits the parent's
+    # signal handling — under ``repro serve``, asyncio's wakeup fd — so a
+    # SIGTERM to the worker would reach the server's event loop as its own
+    # and leave the worker running.  Workers die on SIGTERM and leave
+    # SIGINT (Ctrl-C to the process group) to their parent.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # Mark the process as killable/hangable by the fault layer, and adopt
+    # any env-propagated fault plan eagerly.
     faults.mark_worker_process()
     faults.activate_from_env()
 
 
-def _shutdown_pool() -> None:
-    global _pool, _pool_processes, _pool_maxtasks, _pool_generation
-    with _pool_lock:
-        if _pool is not None:
-            _pool_pids.clear()       # terminated on purpose: not "deaths"
-            _pool.terminate()
-            _pool.join()
-            _pool = None
-            _pool_processes = 0
-            _pool_maxtasks = None
-            _pool_generation += 1
+class _Task(Future):
+    """One scenario run under supervision: the future its caller holds.
 
-
-atexit.register(_shutdown_pool)
-
-
-def _warm_pool(processes: int,
-               maxtasksperchild: Optional[int] = DEFAULT_MAXTASKSPERCHILD
-               ) -> multiprocessing.pool.Pool:
-    """The shared pool, recreated when the worker count changes.
-
-    ``jobs`` is a concurrency *cap*, not a hint: reusing a larger warm pool
-    for a smaller request would run more pipelines at once than the caller
-    allowed (oversubscribing a memory-heavy batch).  Only an exact match
-    (worker count *and* recycle policy) reuses the warm workers — repeated
-    sweeps with stable parameters, the case warmth pays off in, still hit
-    it.
+    Resolves to :func:`_worker`'s tuple or, once the retry budget is spent,
+    to ``(quarantine record, {}, [], None, None)``; it never raises.  The
+    in-process serial sweep shares its retry bookkeeping.
     """
-    global _pool, _pool_processes, _pool_maxtasks, _pool_generation
-    with _pool_lock:
-        if _pool is not None and (_pool_processes != processes
-                                  or _pool_maxtasks != maxtasksperchild):
-            _shutdown_pool()
-        if _pool is None:
-            _pool = multiprocessing.Pool(processes=processes,
-                                         initializer=_pool_initializer,
-                                         maxtasksperchild=maxtasksperchild)
-            _pool_processes = processes
-            _pool_maxtasks = maxtasksperchild
-            _pool_generation += 1
-            _pool_pids.clear()
-            _pool_pids.update(p.pid for p in _pool._pool)
-        return _pool
+
+    def __init__(self, scenario: Scenario, period_s: float,
+                 baselines: Sequence[str], context: TaskContext,
+                 retries: int, deadline_s: Optional[float] = None,
+                 workers: int = 1) -> None:
+        super().__init__()
+        self.scenario = scenario
+        self.args = (scenario, period_s, tuple(baselines), context)
+        self.retries = retries
+        self.deadline_s = deadline_s
+        self.workers = workers
+        #: Charged failures: the ``TaskContext.attempt`` of the next run.
+        self.failures = 0
+        #: The trigger of every re-dispatch, charged or not.
+        self.redispatches: List[str] = []
+        #: Lost in a pool break shared with other tasks: re-runs alone.
+        self.suspect = False
+        #: Monotonic instants: end of the backoff, end of the running
+        #: attempt.
+        self.not_before = 0.0
+        self.expires = math.inf
+
+    @property
+    def name(self) -> str:
+        return self.scenario.name
+
+    def payload(self) -> Tuple[Scenario, float, Tuple[str, ...],
+                               TaskContext]:
+        scenario, period_s, baselines, context = self.args
+        return (scenario, period_s, baselines,
+                dataclasses.replace(context, attempt=self.failures))
+
+    def charge(self, trigger: str, detail: str) -> Optional[float]:
+        """Charge one failed attempt: the backoff before the retry, or
+        ``None`` when the budget is spent and the task is quarantined."""
+        self.failures += 1
+        self.suspect = False
+        if self.failures > self.retries:
+            _TASKS_QUARANTINED.inc()
+            _LOG.error("event=task_quarantined %s",
+                       kv(scenario=self.name, attempts=self.failures,
+                          reason=detail))
+            return None
+        self.redispatches.append(trigger)
+        _TASK_RETRIES.labels(reason=trigger).inc()
+        _LOG.warning("event=task_retry %s",
+                     kv(scenario=self.name, attempt=self.failures,
+                        reason=trigger, detail=detail))
+        base = min(_BACKOFF_CAP_S,
+                   _BACKOFF_BASE_S * 2 ** (self.failures - 1))
+        jitter = random.Random(f"{self.name}/{self.failures}").random()
+        return base * (0.5 + jitter)
+
+    def quarantine_record(self, detail: str) -> SweepRecord:
+        return SweepRecord(
+            scenario=self.name,
+            family=self.scenario.family,
+            scenario_hash=self.scenario.content_hash,
+            code_version=code_version(),
+            status="failed",
+            error=(f"quarantined: worker lost on {self.failures} "
+                   f"attempt(s) (last failure: {detail})"),
+        )
+
+    def cancel(self) -> bool:
+        # Reaches a running task too: the supervisor kills its worker, the
+        # only way to stop one task mid-run.
+        if not super().cancel():
+            return False
+        self.set_running_or_notify_cancel()     # wakes wait() callers
+        _SUPERVISOR.drop(self)
+        return True
+
+    def resolve(self, outcome: tuple) -> None:
+        try:
+            self.set_result(outcome)
+        except InvalidStateError:
+            # Cancelled while its outcome was on the way: nobody waits.
+            _LOG.debug("event=task_outcome_dropped %s",
+                       kv(scenario=self.name))
 
 
-def pool_generation() -> int:
-    """Current pool generation; bumped on every teardown *and* creation.
+class _Supervisor:
+    """Owns the warm executor; all state is guarded by ``_cond``.
 
-    An ``AsyncResult`` obtained under one generation is dead the moment the
-    generation changes — its worker was terminated, so it will never become
-    ready.  Dispatchers snapshot the generation at submit time and compare.
+    Executor callbacks and cancellations update the state and notify; the
+    supervisor thread dispatches queued tasks and expires deadlines,
+    sleeping until the next event, deadline or end of a backoff.
     """
-    with _pool_lock:
-        return _pool_generation
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._workers = 0
+        self._queue: List[_Task] = []
+        self._running: Dict[Future, _Task] = {}
+        self._thread: Optional[threading.Thread] = None
+
+    def submit(self, task: _Task) -> _Task:
+        with self._cond:
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._loop, name="repro-pool-supervisor",
+                    daemon=True)
+                self._thread.start()
+            self._queue.append(task)
+            self._cond.notify()
+        return task
+
+    def drop(self, task: _Task) -> None:
+        """Forget a cancelled task, killing its worker if it has one."""
+        with self._cond:
+            if task in self._queue:
+                self._queue.remove(task)
+            elif task in self._running.values():
+                self.restart("task-cancelled", culprits=[task])
+
+    def restart(self, reason: str, culprits: Sequence[_Task] = ()) -> None:
+        """Kill and reap the pool's workers; re-run the tasks that were
+        running on it, uncharged — all but ``culprits``."""
+        with self._cond:
+            executor, self._executor = self._executor, None
+            lost = list(self._running.values())
+            self._running.clear()
+            if executor is not None:
+                _POOL_RESPAWNS.inc()
+                _LOG.warning("event=pool_respawn %s",
+                             kv(reason=reason, processes=self._workers,
+                                in_flight=len(lost)))
+                # Python 3.11 has no public way to stop a worker mid-task:
+                # the one private access, the executor's pid → process map.
+                processes = list(executor._processes.values())
+                for process in processes:
+                    process.kill()
+                executor.shutdown(wait=False)
+                for process in processes:
+                    process.join()
+            for task in lost:
+                if task not in culprits:
+                    self._requeue(task)
+            self._cond.notify()
+
+    def _requeue(self, task: _Task, suspect: bool = False) -> None:
+        task.suspect = suspect
+        task.redispatches.append("pool-respawn")
+        _TASK_RETRIES.labels(reason="pool-respawn").inc()
+        self._queue.append(task)
+
+    def _fail(self, task: _Task, trigger: str, detail: str) -> None:
+        backoff = task.charge(trigger, detail)
+        if backoff is None:
+            task.resolve((task.quarantine_record(detail), {}, [], None,
+                          None))
+        else:
+            task.not_before = time.monotonic() + backoff
+            self._queue.append(task)
+
+    def _on_done(self, future: Future) -> None:
+        with self._cond:
+            task = self._running.pop(future, None)
+            if task is None:
+                return                  # detached by a restart: requeued
+            error = future.exception()
+            if error is None:
+                task.resolve(future.result())
+            elif isinstance(error, BrokenProcessPool):
+                # A worker died, and the pool broke under every task in
+                # flight on it.  The blame rule: one task in flight is the
+                # culprit; of several, each re-runs alone, uncharged.
+                lost = [task, *self._running.values()]
+                self._running.clear()
+                self._executor = None
+                _WORKER_DEATHS.inc()
+                _LOG.warning("event=worker_death %s",
+                             kv(in_flight=",".join(t.name for t in lost)))
+                if len(lost) == 1:
+                    self._fail(task, "worker-death", str(error))
+                else:
+                    for suspect in lost:
+                        self._requeue(suspect, suspect=True)
+            else:
+                self._fail(task, "worker-crash",
+                           f"{type(error).__name__}: {error}")
+            self._cond.notify()
+
+    def _dispatch(self, now: float) -> None:
+        """Start queued tasks while the pool has room for them."""
+        while True:
+            # Suspects first, and each alone: the next break is theirs.
+            ready = sorted((t for t in self._queue if t.not_before <= now),
+                           key=lambda t: not t.suspect)
+            if not ready:
+                return
+            task = ready[0]
+            busy = len(self._running)
+            if busy and (busy >= self._workers or task.suspect
+                         or task.workers != self._workers
+                         or any(t.suspect for t in self._running.values())):
+                return
+            if self._executor is None or task.workers != self._workers:
+                if busy:
+                    return              # a broken pool still failing tasks
+                if self._executor is not None:
+                    self._executor.shutdown(wait=False)
+                # ``jobs`` is a concurrency cap: a changed cap gets a pool
+                # of its own size once the old one has drained.
+                self._executor = ProcessPoolExecutor(
+                    max_workers=task.workers,
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_pool_initializer)
+                self._workers = task.workers
+            self._queue.remove(task)
+            try:
+                future = self._executor.submit(_worker, task.payload())
+            except Exception as exc:    # noqa: BLE001 — the thread lives on
+                # An idle worker died (BrokenProcessPool) or fork failed:
+                # start afresh, charging the attempt only in the latter case.
+                self._executor = None
+                if isinstance(exc, BrokenProcessPool):
+                    self._queue.append(task)
+                else:
+                    self._fail(task, "worker-crash",
+                               f"{type(exc).__name__}: {exc}")
+                continue
+            task.expires = now + (task.deadline_s or math.inf)
+            self._running[future] = task
+            future.add_done_callback(self._on_done)
+
+    def _loop(self) -> None:
+        with self._cond:
+            while True:
+                now = time.monotonic()
+                expired = [t for t in self._running.values()
+                           if t.expires <= now]
+                if expired:
+                    _TASK_DEADLINES.inc(len(expired))
+                    self.restart("task-deadline", culprits=expired)
+                    for task in expired:
+                        self._fail(task, "deadline", f"exceeded its "
+                                   f"{task.deadline_s:g}s deadline")
+                self._dispatch(now)
+                wake = min([t.not_before for t in self._queue
+                            if t.not_before > now]
+                           + [t.expires for t in self._running.values()],
+                           default=math.inf)
+                self._cond.wait(None if wake == math.inf else wake - now)
+
+
+_SUPERVISOR = _Supervisor()
+
+
+def submit_scenario(scenario_name: str, processes: int,
+                    period_s: float = 60.0,
+                    baselines: Sequence[str] = DEFAULT_BASELINES,
+                    trace_ctx: Optional[Dict[str, str]] = None,
+                    profile_hz: int = 0,
+                    retries: int = 0,
+                    deadline_s: Optional[float] = None) -> _Task:
+    """Run one scenario on the shared warm pool; returns its future.
+
+    The one way onto the pool, for sweeps and the serving layer alike.
+    ``processes`` caps the pool's concurrency, ``retries`` budgets the
+    infrastructure failures (lost worker, deadline, injected fault) a task
+    may survive, and ``deadline_s`` bounds each attempt.  Cancelling the
+    future kills its worker.  ``trace_ctx`` overrides the submitter's
+    ambient trace context (the serving layer captures it on the request
+    thread); ``profile_hz`` arms the worker's sampling profiler.
+    """
+    context = TaskContext(fast_path=fast_path_enabled(),
+                          trace=trace_ctx or TRACER.current_context(),
+                          profile_hz=profile_hz)
+    return _SUPERVISOR.submit(_Task(get_scenario(scenario_name), period_s,
+                                    baselines, context, retries, deadline_s,
+                                    workers=max(1, processes)))
 
 
 def respawn_pool(reason: str) -> None:
-    """Tear the shared pool down so its next use starts fresh workers.
+    """Kill and reap the shared pool's workers.
 
-    The recovery hammer for hung or poisoned workers (a pool task cannot
-    be cancelled individually).  In-flight tasks die with their workers —
-    callers requeue what they still care about.  A no-op without a live
-    pool.
+    Tasks in flight re-run, uncharged, on a fresh pool; with none, no
+    worker is forked until the next submit, so this is also the explicit
+    shutdown (interpreter exit would wait on a hung worker).  A no-op
+    without a live pool.
     """
-    with _pool_lock:
-        if _pool is None:
-            return
-        _POOL_RESPAWNS.inc()
-        _LOG.warning("event=pool_respawn %s",
-                     kv(reason=reason, generation=_pool_generation,
-                        processes=_pool_processes))
-        _shutdown_pool()
-
-
-def worker_deaths() -> int:
-    """Cumulative count of pool worker processes observed to have vanished.
-
-    Poll-based: compares the live worker pid set against the last poll.
-    ``maxtasksperchild`` recycling also replaces pids, so a "death" here is
-    a *hint* (redispatch in-flight work, first completion wins), never a
-    verdict.  Deliberate teardowns don't count.
-    """
-    global _pool_deaths
-    with _pool_lock:
-        if _pool is None:
-            return _pool_deaths
-        live = {p.pid for p in _pool._pool}
-        gone = _pool_pids - live
-        if gone:
-            _pool_deaths += len(gone)
-            _WORKER_DEATHS.inc(len(gone))
-            _LOG.warning("event=worker_death %s",
-                         kv(pids=",".join(str(p) for p in sorted(gone)),
-                            generation=_pool_generation))
-        _pool_pids.clear()
-        _pool_pids.update(live)
-        return _pool_deaths
+    _SUPERVISOR.restart(reason)
 
 
 @dataclass
@@ -463,24 +666,8 @@ class SweepResult:
     def errors(self) -> List[SweepRecord]:
         return [r for r in self.records if not r.ok]
 
-    def record_for(self, scenario: str) -> SweepRecord:
-        for record in self.records:
-            if record.scenario == scenario:
-                return record
-        raise KeyError(scenario)
-
     def summary_table(self) -> str:
         return render_table(summary_rows(self.records))
-
-
-def _load_cached(path: str) -> Optional[SweepRecord]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            record = SweepRecord.from_json(handle.read())
-    except (OSError, ValueError, TypeError):
-        return None
-    # A cached failure is not worth keeping: re-run the scenario.
-    return record if record.ok else None
 
 
 def load_cached_record(cache_dir: str, scenario_name: str,
@@ -489,13 +676,19 @@ def load_cached_record(cache_dir: str, scenario_name: str,
                        ) -> Optional[SweepRecord]:
     """The cached record of one scenario, or ``None`` on a miss.
 
-    The public face of the sweep cache for other consumers (the serving
-    layer's job queue checks it before dispatching pipeline work); corrupt
-    entries and cached failures count as misses, exactly as in
-    :func:`run_sweep`.
+    Shared by :func:`run_sweep` and the serving layer's job queue, which
+    checks it before dispatching pipeline work; corrupt entries and cached
+    failures count as misses.
     """
-    return _load_cached(cache_path(cache_dir, scenario_name,
-                                   period_s=period_s, baselines=baselines))
+    try:
+        with open(cache_path(cache_dir, scenario_name, period_s=period_s,
+                             baselines=baselines),
+                  "r", encoding="utf-8") as handle:
+            record = SweepRecord.from_json(handle.read())
+    except (OSError, ValueError, TypeError):
+        return None
+    # A cached failure is not worth keeping: re-run the scenario.
+    return record if record.ok else None
 
 
 def store_record(cache_dir: str, record: SweepRecord,
@@ -520,292 +713,60 @@ def store_record(cache_dir: str, record: SweepRecord,
     return out_path
 
 
-def submit_scenario(scenario_name: str, processes: int,
-                    period_s: float = 60.0,
-                    baselines: Sequence[str] = DEFAULT_BASELINES,
-                    trace_ctx: Optional[Dict[str, str]] = None,
-                    profile_hz: int = 0,
-                    attempt: int = 0,
-                    ) -> "multiprocessing.pool.AsyncResult":
-    """Dispatch one scenario run onto the shared warm pool, asynchronously.
-
-    Used by the serving layer (:mod:`repro.serve.jobs`): HTTP-submitted runs
-    execute in the *same* warm worker pool the sweep engine uses — one pool
-    per process, never a second one — and the caller polls the returned
-    :class:`~multiprocessing.pool.AsyncResult` without blocking an event
-    loop.  The worker never raises for *scenario* failures (they come back
-    as error records), but ``AsyncResult.get()`` can raise for
-    infrastructure failures (injected faults, a worker lost mid-task) —
-    callers guard it and snapshot :func:`pool_generation` at submit time to
-    detect a pool replaced underneath them.  The async result yields
-    ``(record, perf-counter deltas, spans, profile, runtime)`` so the
-    caller can account the worker's pipeline work — its trace, (with
-    ``profile_hz`` set) its sampled stacks, and its runtime deltas (peak
-    RSS / CPU / GC) — in its own process.
-    ``trace_ctx`` overrides the submitter's ambient trace context (the
-    serving layer captures it on the request thread, before the job reaches
-    the dispatcher); ``attempt`` labels retry dispatches for deterministic
-    fault targeting.
-    """
-    scenario = get_scenario(scenario_name)
-    context = TaskContext(fast_path=fast_path_enabled(),
-                          trace=trace_ctx or TRACER.current_context(),
-                          profile_hz=profile_hz,
-                          attempt=attempt)
-    with _pool_lock:
-        pool = _warm_pool(max(1, processes))
-        return pool.apply_async(
-            _worker_with_counters,
-            ((scenario, period_s, tuple(baselines), context),))
-
-
-# -- crash-resilient parallel dispatch ----------------------------------------
-
-#: Engine poll interval; small enough that deadlines in the 100ms range
-#: (chaos tests) are honoured promptly.
-_POLL_S = 0.01
-#: Base of the retry backoff ladder: 0.05, 0.1, 0.2, ... capped at 2s,
-#: scaled by seeded jitter in [0.5, 1.5).
-_BACKOFF_BASE_S = 0.05
-_BACKOFF_CAP_S = 2.0
-
-
-@dataclass
-class _Task:
-    """Book-keeping for one scenario making its way through the pool."""
-
-    scenario: Scenario
-    #: Dispatches started (== 1 + retries used).  Also the source of the
-    #: 0-based ``TaskContext.attempt`` of the next dispatch.
-    attempts: int = 0
-    #: Live dispatches as ``(pool generation at submit, AsyncResult)``.
-    #: Usually one; a worker-death redispatch makes it two, and the first
-    #: to complete wins.
-    handles: List[Tuple[int, "multiprocessing.pool.AsyncResult"]] = \
-        field(default_factory=list)
-    #: Monotonic instant the newest dispatch expires.
-    deadline: float = 0.0
-    #: Monotonic instant before which a requeued task must not redispatch
-    #: (exponential backoff).
-    not_before: float = 0.0
-
-    @property
-    def name(self) -> str:
-        return self.scenario.name
-
-
-def _quarantine_record(task: _Task, reason: str) -> SweepRecord:
-    return SweepRecord(
-        scenario=task.scenario.name,
-        family=task.scenario.family,
-        scenario_hash=task.scenario.content_hash,
-        code_version=code_version(),
-        status="failed",
-        error=(f"quarantined after {task.attempts} attempts "
-               f"(last failure: {reason})"),
-    )
-
-
-def _backoff_s(attempts: int, rng: random.Random) -> float:
-    base = min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * (2 ** max(0, attempts - 1)))
-    return base * (0.5 + rng.random())
-
-
 def _run_parallel(todo: Sequence[str], processes: int, period_s: float,
                   baselines: Sequence[str], retries: int,
                   task_deadline_s: float) -> List[SweepRecord]:
-    """Dispatch ``todo`` over the warm pool, surviving crashes and hangs.
+    """Run ``todo`` through the pool supervisor, ``processes`` at a time.
 
-    Windowed per-task ``apply_async`` (at most ``processes`` primary
-    dispatches in flight, so a task's deadline measures *runtime*, not
-    queue wait), with:
-
-    * **crash retry** — a dispatch whose ``get()`` raises (injected fault,
-      worker lost with a task mid-pickle) requeues with backoff until the
-      budget runs out, then quarantines;
-    * **death redispatch** — when worker pids vanish, every in-flight task
-      with budget gets a second concurrent dispatch; whichever completes
-      first wins (harmless for ``maxtasksperchild`` false positives);
-    * **deadline respawn** — a task outliving ``task_deadline_s`` cannot be
-      cancelled individually, so the pool is respawned; the expired task
-      burns a retry, innocent in-flight tasks requeue for free;
-    * **quarantine** — after ``retries + 1`` failed attempts a task becomes
-      a ``status="failed"`` record and the sweep moves on.
+    A window of supervised futures, refilled as they complete, so a serve
+    job sharing the pool never queues behind the whole sweep.  Each future
+    settles to a record — the scenario's, or its quarantine record.
     """
-    rng = random.Random(0x5EED ^ len(todo))
-    pending: "deque[_Task]" = deque(_Task(scenario=get_scenario(name))
-                                    for name in todo)
-    inflight: List[_Task] = []
+    names = iter(todo)
+    window: Set[Future] = set()
     done: List[SweepRecord] = []
-    deaths_seen = worker_deaths()
-
-    def dispatch(task: _Task, reason: Optional[str] = None) -> None:
-        task.attempts += 1
-        if reason is not None:
-            _TASK_RETRIES.labels(reason=reason).inc()
-            _LOG.warning("event=task_retry %s",
-                         kv(scenario=task.name, attempt=task.attempts - 1,
-                            reason=reason))
-        context = TaskContext.current(attempt=task.attempts - 1)
-        with _pool_lock:
-            pool = _warm_pool(processes)
-            generation = _pool_generation
-            handle = pool.apply_async(
-                _worker,
-                ((task.scenario, period_s, tuple(baselines), context),))
-        task.handles.append((generation, handle))
-        task.deadline = time.monotonic() + task_deadline_s
-
-    def settle_failure(task: _Task, reason: str) -> None:
-        """A task lost its last live dispatch: requeue or quarantine."""
-        task.handles.clear()
-        if task.attempts >= retries + 1:
-            _TASKS_QUARANTINED.inc()
-            _LOG.error("event=task_quarantined %s",
-                       kv(scenario=task.name, attempts=task.attempts,
-                          reason=reason))
-            done.append(_quarantine_record(task, reason))
-        else:
-            _TASK_RETRIES.labels(reason=reason).inc()
-            task.not_before = time.monotonic() + _backoff_s(task.attempts,
-                                                            rng)
-            _LOG.warning("event=task_retry %s",
-                         kv(scenario=task.name, attempt=task.attempts,
-                            reason=reason, backoff=True))
-            pending.append(task)
-
-    while pending or inflight:
-        now = time.monotonic()
-        _SWEEP_INFLIGHT.set(len(inflight))
-        _SWEEP_PENDING.set(len(pending))
-
-        # Dispatch up to the window, rotating past backoff-gated heads so
-        # one cooling-down task doesn't starve the ready ones behind it.
-        considered = 0
-        while pending and len(inflight) < processes \
-                and considered < len(pending) + 1:
-            considered += 1
-            task = pending[0]
-            if task.not_before > now:
-                pending.rotate(-1)
-                continue
-            pending.popleft()
-            dispatch(task)
-            inflight.append(task)
-
-        if not inflight:
-            time.sleep(_POLL_S)
-            continue
-
-        generation_now = pool_generation()
-        progressed = False
-
-        # Collect: first ready dispatch of each task wins; crashed or
-        # stale-generation dispatches are dropped.
-        for task in list(inflight):
-            record: Optional[SweepRecord] = None
-            crash: Optional[str] = None
-            for entry in list(task.handles):
-                gen, handle = entry
-                if gen != generation_now:
-                    task.handles.remove(entry)
-                    continue
-                if not handle.ready():
-                    continue
-                try:
-                    record = handle.get()
-                except Exception as exc:   # noqa: BLE001 — worker lost /
-                    # injected fault: an infrastructure failure, retryable.
-                    task.handles.remove(entry)
-                    crash = f"{type(exc).__name__}: {exc}"
-                    continue
-                break
-            if record is not None:
-                inflight.remove(task)
-                done.append(record)
-                progressed = True
-            elif not task.handles:
-                inflight.remove(task)
-                settle_failure(task, crash or "pool-respawn")
-                progressed = True
-
-        if progressed:
-            continue
-        now = time.monotonic()
-
-        # Hangs: a task past its deadline can only be stopped by killing
-        # its worker, and the pool only dies whole.  Innocent bystanders
-        # requeue without burning budget (their dispatch never misbehaved).
-        expired = [t for t in inflight if now > t.deadline]
-        if expired:
-            _TASK_DEADLINES.inc(len(expired))
-            for task in expired:
-                _LOG.warning("event=task_deadline %s",
-                             kv(scenario=task.name, attempt=task.attempts - 1,
-                                deadline_s=task_deadline_s))
-            respawn_pool("task-deadline")
-            deaths_seen = worker_deaths()
-            for task in list(inflight):
-                inflight.remove(task)
-                if task in expired:
-                    settle_failure(task, "deadline")
-                else:
-                    task.attempts = max(0, task.attempts - 1)
-                    task.handles.clear()
-                    _TASK_RETRIES.labels(reason="pool-respawn").inc()
-                    pending.append(task)
-            continue
-
-        # Deaths: some worker vanished; any in-flight task may be the one
-        # it took with it.  Give every task with budget a concurrent second
-        # dispatch (capacity self-heals via the pool's maintenance thread).
-        deaths_now = worker_deaths()
-        if deaths_now > deaths_seen:
-            deaths_seen = deaths_now
-            for task in inflight:
-                if task.attempts < retries + 1 and len(task.handles) < 2:
-                    dispatch(task, reason="worker-death")
-            continue
-
-        time.sleep(_POLL_S)
-
-    _SWEEP_INFLIGHT.set(0)
-    _SWEEP_PENDING.set(0)
-    return done
+    try:
+        while True:
+            for name in islice(names, processes - len(window)):
+                window.add(submit_scenario(
+                    name, processes, period_s=period_s, baselines=baselines,
+                    retries=retries, deadline_s=task_deadline_s))
+            _SWEEP_INFLIGHT.set(len(window))
+            _SWEEP_PENDING.set(len(todo) - len(done) - len(window))
+            if not window:
+                return done
+            finished, window = wait(window, return_when=FIRST_COMPLETED)
+            done.extend(future.result()[0] for future in finished)
+    finally:
+        # Interrupted (Ctrl-C, a broken caller): stop what still runs.
+        for future in window:
+            future.cancel()
+        _SWEEP_INFLIGHT.set(0)
+        _SWEEP_PENDING.set(0)
 
 
 def _run_serial(todo: Sequence[str], period_s: float,
                 baselines: Sequence[str], retries: int) -> List[SweepRecord]:
-    """The in-process path, with the same retry/quarantine contract.
+    """The in-process path, with the supervisor's retry/quarantine rules.
 
     Only ``raise`` faults fire here (this process must not kill or hang
-    itself), so the retry loop is a plain try/except around the worker.
+    itself), so an attempt fails only by raising.
     """
-    rng = random.Random(0x5EED ^ len(todo))
     done: List[SweepRecord] = []
     for name in todo:
-        task = _Task(scenario=get_scenario(name))
+        task = _Task(get_scenario(name), period_s, baselines,
+                     TaskContext.current(), retries)
         while True:
-            task.attempts += 1
-            context = TaskContext.current(attempt=task.attempts - 1)
             try:
-                done.append(_worker((task.scenario, period_s,
-                                     tuple(baselines), context)))
+                done.append(_worker(task.payload())[0])
                 break
             except FaultInjected as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-                if task.attempts >= retries + 1:
-                    _TASKS_QUARANTINED.inc()
-                    _LOG.error("event=task_quarantined %s",
-                               kv(scenario=task.name, attempts=task.attempts,
-                                  reason=reason))
-                    done.append(_quarantine_record(task, reason))
+                detail = f"{type(exc).__name__}: {exc}"
+                backoff = task.charge("worker-crash", detail)
+                if backoff is None:
+                    done.append(task.quarantine_record(detail))
                     break
-                _TASK_RETRIES.labels(reason="crash").inc()
-                _LOG.warning("event=task_retry %s",
-                             kv(scenario=task.name, attempt=task.attempts,
-                                reason=reason))
-                time.sleep(_backoff_s(task.attempts, rng))
+                time.sleep(backoff)
     return done
 
 
@@ -843,8 +804,8 @@ def run_sweep(names: Optional[Sequence[str]] = None,
         ``status="failed"`` record.  Deterministic scenario errors are
         never retried — rerunning broken code is waste.
     task_deadline_s:
-        Per-task wall-clock budget; a task outliving it forces a pool
-        respawn and burns one of its retries.
+        Per-attempt wall-clock budget; a task outliving it forces a pool
+        restart and burns one of its retries.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -868,14 +829,11 @@ def run_sweep(names: Optional[Sequence[str]] = None,
                          f"(pattern={pattern!r}, names={names!r})")
     os.makedirs(cache_dir, exist_ok=True)
 
-    def _path(name: str) -> str:
-        return cache_path(cache_dir, name, period_s=period_s,
-                          baselines=baselines)
-
     records: Dict[str, SweepRecord] = {}
     todo: List[str] = []
     for name in selected:
-        cached = None if rerun else _load_cached(_path(name))
+        cached = None if rerun else load_cached_record(
+            cache_dir, name, period_s=period_s, baselines=baselines)
         if cached is not None:
             cached.cached = True
             records[name] = cached
@@ -888,15 +846,8 @@ def run_sweep(names: Optional[Sequence[str]] = None,
         # Size by the requested cap alone: a pool never runs more tasks
         # than are queued, and a todo-dependent size would tear the warm
         # pool down whenever the cache state changes.
-        try:
-            fresh = _run_parallel(todo, jobs, period_s, baselines, retries,
-                                  task_deadline_s)
-        except Exception:
-            # A broken engine (corrupted pipe, unexpected dispatch error)
-            # must not poison later sweeps: drop the pool so the next call
-            # starts a fresh one.
-            _shutdown_pool()
-            raise
+        fresh = _run_parallel(todo, jobs, period_s, baselines, retries,
+                              task_deadline_s)
 
     for record in fresh:
         records[record.scenario] = record
@@ -904,8 +855,10 @@ def run_sweep(names: Optional[Sequence[str]] = None,
             try:
                 # Atomic: a killed process must not leave a truncated cache
                 # entry.
-                write_atomic(_path(record.scenario), record.to_json() + "\n",
-                             suffix=".json")
+                write_atomic(cache_path(cache_dir, record.scenario,
+                                        period_s=period_s,
+                                        baselines=baselines),
+                             record.to_json() + "\n", suffix=".json")
             except OSError as exc:
                 # Degraded, not dead: the sweep still returns (and stores
                 # below, if the store path is healthier than the cache).

@@ -1,5 +1,7 @@
 """Noqa fixture: suppressed RC002/RC005/RC006 violations."""
 
+from concurrent.futures import ProcessPoolExecutor
+
 
 class Platform:
     def __init__(self):
@@ -17,5 +19,5 @@ def waived_silent():
         pass
 
 
-def waived_lambda(pool):
-    pool.apply_async(lambda: 1)      # repro: noqa[RC006]
+def waived_lambda():
+    ProcessPoolExecutor().submit(lambda: 1)      # repro: noqa[RC006]

@@ -1,15 +1,18 @@
 """RC006 fixture: lambdas/closures/bound methods at the pool boundary."""
 
+from concurrent.futures import ProcessPoolExecutor
+
 
 def worker(x):
     return x
 
 
-def dispatch(pool, items, obj):
+def dispatch(items, obj):
     def helper(x):
         return x
 
-    pool.apply_async(worker, (items,))        # fine: module-level callable
-    pool.apply_async(lambda x: x, (items,))
-    pool.apply_async(helper, (items,))
-    pool.apply_async(obj.run, (items,))
+    pool = ProcessPoolExecutor()
+    pool.submit(worker, items)                # fine: module-level callable
+    pool.submit(lambda x: x, items)
+    pool.submit(helper, items)
+    pool.submit(obj.run, items)

@@ -186,6 +186,19 @@ class TestSweepChaos:
         again = run_sweep(names=["ring-4"], jobs=1, cache_dir=str(tmp_path))
         assert again.records[0].ok
 
+    def test_co_tenant_death_costs_innocent_task_nothing(self, tmp_path):
+        # The blame rule: a pool break with both tasks in flight charges
+        # neither; each re-runs alone, so only the killer is charged.  With
+        # no retry budget, a charge on star-hub-8 would quarantine it.
+        _arm(FaultPlan(specs=(
+            FaultSpec(kind="kill", match="ring-4", times=-1),)))
+        result = run_sweep(names=["ring-4", "star-hub-8"], jobs=2,
+                           cache_dir=str(tmp_path), retries=0)
+        by_name = {r.scenario: r for r in result.records}
+        assert by_name["star-hub-8"].status == "ok"
+        assert by_name["ring-4"].status == "failed"
+        assert "quarantined" in by_name["ring-4"].error
+
     def test_injected_raise_is_retried_in_serial_sweeps(self, tmp_path):
         install_plan(FaultPlan(specs=(
             FaultSpec(kind="raise", match="star-hub-8", on_attempts=(0,)),)))
@@ -394,16 +407,38 @@ class TestServeChaos:
 # SIGTERM graceful drain (whole-process)
 
 
+def _children(pid):
+    """Pids of ``pid``'s live child processes, across all its threads."""
+    found = set()
+    for task in os.listdir(f"/proc/{pid}/task"):
+        try:
+            with open(f"/proc/{pid}/task/{task}/children",
+                      encoding="ascii") as handle:
+                found.update(int(child) for child in handle.read().split())
+        except FileNotFoundError:
+            continue                    # the thread ended meanwhile
+    return found
+
+
 class TestGracefulDrain:
-    def test_sigterm_drains_jobs_and_exits_zero(self, tmp_path):
+    @pytest.mark.parametrize("hung", [False, True],
+                             ids=["finishing-job", "hung-job"])
+    def test_sigterm_drains_jobs_and_exits_zero(self, tmp_path, hung):
         env = dict(os.environ, PYTHONPATH=SRC)
         env.pop("REPRO_FAULT_PLAN", None)
+        # The hung case: the job's worker sleeps past a 1 s drain, so only
+        # an explicit pool shutdown lets the server exit in time.
+        extra = ["--drain-timeout", "30"] if not hung else [
+            "--drain-timeout", "1", "--inject-faults",
+            FaultPlan(specs=(FaultSpec(kind="hang", match="star-hub-8",
+                                       delay_s=60.0),)).to_json()]
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
              "--jobs", "1", "--cache-dir", str(tmp_path),
-             "--trace-sample", "0", "--drain-timeout", "30"],
+             "--trace-sample", "0", *extra],
             cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True)
+        workers = set()
         try:
             line = proc.stdout.readline()
             assert "serving on http://" in line, line
@@ -414,15 +449,28 @@ class TestGracefulDrain:
                 headers={"Content-Type": "application/json"})
             with urllib.request.urlopen(request, timeout=30) as response:
                 assert response.status == 202
+            if hung:
+                deadline = time.monotonic() + 10.0
+                while not workers:
+                    assert time.monotonic() < deadline, "no pool worker"
+                    time.sleep(0.05)
+                    workers = _children(proc.pid)
             # SIGTERM immediately: the drain must finish the in-flight job
             # and persist its record before exiting cleanly.
             proc.send_signal(signal.SIGTERM)
+            started = time.monotonic()
             _, err = proc.communicate(timeout=120)
             assert proc.returncode == 0, err
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
+        if hung:
+            assert time.monotonic() - started < 15.0
+            # Killed and reaped by the server, not orphaned.
+            assert not [pid for pid in workers
+                        if os.path.exists(f"/proc/{pid}")]
+            return
         records = load_jsonl(default_store_path(str(tmp_path)))
         assert any(r.scenario == "star-hub-8" and r.ok for r in records)
 

@@ -91,6 +91,13 @@ class TestRulesFire:
         assert any("closure" in m for m in messages)
         assert any("bound/attribute" in m for m in messages)
 
+    def test_rc006_matches_executors_not_any_submit(self, fixture_result):
+        # A closure handed to an executor fires; submit() on anything not
+        # bound to a process-pool constructor (a job queue) is no boundary.
+        fired = _findings(fixture_result, "RC006", "rc006_executor.py")
+        assert len(fired) == 1 and "closure" in fired[0].message
+        assert not _findings(fixture_result, path="rc006_queue.py")
+
     def test_clean_file_has_no_findings(self, fixture_result):
         assert not _findings(fixture_result, path="clean.py")
 

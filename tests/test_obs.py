@@ -693,7 +693,7 @@ class TestTaskContext:
             with TRACER.start_trace("submitter") as root:
                 async_result = submit_scenario("ring-4", processes=1)
             record, deltas, spans, profile, runtime = \
-                async_result.get(timeout=180)
+                async_result.result(timeout=180)
         finally:
             set_fast_path(True)
         assert record.ok, record.error
@@ -718,7 +718,7 @@ class TestTaskContext:
         async_result = submit_scenario("wan-grid-3x2", processes=1,
                                        profile_hz=1000)
         record, _deltas, _spans, profile, _runtime = \
-            async_result.get(timeout=180)
+            async_result.result(timeout=180)
         assert record.ok, record.error
         assert isinstance(profile, dict)
         assert set(profile) == {"stacks", "samples"}

@@ -325,7 +325,7 @@ class TestWorkerRuntimeMerge:
             with TRACER.start_trace("runtime-merge-test"):
                 async_result = submit_scenario("star-hub-8", processes=1)
             record, deltas, spans, profile, runtime = \
-                async_result.get(timeout=180)
+                async_result.result(timeout=180)
         finally:
             TRACER.configure(sample_rate=0.0)
         assert record.ok, record.error

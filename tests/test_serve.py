@@ -4,11 +4,16 @@ import asyncio
 import json
 import logging
 import os
+import signal
+import subprocess
+import sys
 import time
+import urllib.request
 
 import pytest
 
 from repro.cli import main
+from repro.faults import FaultPlan, FaultSpec
 from repro.obs import TRACER
 from repro.serve import (
     JobQueue,
@@ -31,6 +36,8 @@ from repro.sweep import (
     load_jsonl,
     run_sweep,
 )
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -637,6 +644,52 @@ class TestJobQueue:
                 cache_path(str(tmp_path), "test-serve-broken"))
         finally:
             unregister("test-serve-broken")
+
+
+class TestServeProcess:
+    def test_pool_break_does_not_signal_the_server(self, tmp_path):
+        # Pool workers are forked from the server, asyncio's SIGTERM
+        # wakeup fd included.  A pool break SIGTERMs the surviving workers,
+        # which must not reach the server as a SIGTERM of its own.
+        plan = FaultPlan(specs=(
+            FaultSpec(kind="kill", match="ring-4", times=-1),)).to_json()
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--jobs", "2", "--job-retries", "0", "--trace-sample", "0",
+             "--cache-dir", str(tmp_path), "--inject-faults", plan],
+            cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        try:
+            line = proc.stdout.readline()
+            base = "http://127.0.0.1:" + line.strip().rsplit(":", 1)[1]
+
+            def call(target, body=None):
+                request = urllib.request.Request(
+                    base + target, method="POST" if body else "GET",
+                    data=json.dumps(body).encode() if body else None)
+                with urllib.request.urlopen(request, timeout=30) as reply:
+                    return json.loads(reply.read())
+
+            ids = [call("/runs", {"scenario": name})["id"]
+                   for name in ("star-switch-12", "ring-4")]
+            deadline = time.monotonic() + 60.0
+            statuses = []
+            while len(statuses) < 2 or "running" in statuses \
+                    or "queued" in statuses:
+                assert time.monotonic() < deadline, statuses
+                time.sleep(0.05)
+                statuses = [call(f"/runs/{job}")["status"] for job in ids]
+            assert statuses == ["ok", "error"]
+            assert call("/healthz")["draining"] is False
+            assert proc.poll() is None
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
 
 
 def _slow_builder(seconds):

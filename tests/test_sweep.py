@@ -1,10 +1,13 @@
 """Tests of the sweep engine: sharding, caching, result store and CLI."""
 
 import os
+import sys
+import threading
 
 import pytest
 
 from repro.cli import main
+from repro.netsim import StarSpec, generate_star
 from repro.scenarios import scenario_names
 from repro.scenarios.registry import _REGISTRY, register_scenario
 from repro.sweep import (
@@ -15,6 +18,7 @@ from repro.sweep import (
     load_jsonl,
     run_scenario,
     run_sweep,
+    submit_scenario,
     summary_rows,
 )
 
@@ -51,6 +55,12 @@ class TestRunScenario:
             del _REGISTRY["test-broken"]
 
 
+def _pid_builder(log):
+    with open(log, "a", encoding="utf-8") as handle:
+        handle.write(f"{os.getpid()}\n")
+    return generate_star(StarSpec(hosts=4, kind="hub"))
+
+
 class TestRunSweep:
     def test_smoke_sweep_serial(self, tmp_path):
         result = run_sweep(pattern=SMOKE, jobs=1, cache_dir=str(tmp_path))
@@ -78,17 +88,32 @@ class TestRunSweep:
 
     def test_warm_pool_respects_lower_jobs_cap(self, tmp_path):
         # Regression: reusing a larger warm pool for a smaller request ran
-        # more pipelines concurrently than the caller allowed.
-        from repro.sweep import runner
-        run_sweep(pattern=SMOKE, jobs=4, cache_dir=str(tmp_path / "a"))
-        assert runner._pool_processes == 4
-        warm = runner._pool
-        # Same cap, different todo count: the warm pool is reused.
-        run_sweep(names=["star-switch-12", "ring-4"], jobs=4,
-                  cache_dir=str(tmp_path / "a"))
-        assert runner._pool is warm
-        run_sweep(pattern=SMOKE, jobs=2, cache_dir=str(tmp_path / "b"))
-        assert runner._pool_processes == 2
+        # more pipelines concurrently than the caller allowed.  Each
+        # scenario's builder logs the pid of the worker that built it.
+        log = tmp_path / "pids.log"
+        names = [f"test-pid-{index}" for index in range(8)]
+        for name in names:
+            register_scenario(name, family="test-internal",
+                              log=str(log))(_pid_builder)
+
+        def sweep_pids(jobs):
+            log.write_text("")
+            run_sweep(names=names, jobs=jobs, rerun=True,
+                      cache_dir=str(tmp_path))
+            return {int(pid) for pid in log.read_text().split()}
+
+        try:
+            first = sweep_pids(4)
+            assert 1 <= len(first) <= 4
+            # Same cap: the warm workers are reused, none is added.
+            warm = first | sweep_pids(4)
+            assert len(warm) <= 4
+            # Lower cap: a pool of its own size, never the larger one.
+            lower = sweep_pids(2)
+            assert len(lower) <= 2 and lower.isdisjoint(warm)
+        finally:
+            for name in names:
+                del _REGISTRY[name]
 
     def test_parallel_sweep_over_full_catalog(self, tmp_path):
         names = scenario_names()
@@ -208,6 +233,49 @@ class TestRunSweep:
             assert retry.cache_hits == 0
         finally:
             del _REGISTRY["test-flaky"]
+
+
+def _star_builder(hosts):
+    return generate_star(StarSpec(hosts=hosts, kind="hub"))
+
+
+class TestPoolSupervisor:
+    def test_concurrent_submitters_each_get_their_own_record(self):
+        # Six submitting threads share one 2-worker pool under a short
+        # switch interval: every future settles exactly once, to an ok
+        # record of its own scenario.
+        names = [f"test-stress-{index}" for index in range(12)]
+        for index, name in enumerate(names):
+            register_scenario(name, family="test-internal",
+                              hosts=3 + index % 3)(_star_builder)
+        results, lock = {}, threading.Lock()
+
+        def submitter(batch):
+            futures = [(name, submit_scenario(name, 2)) for name in batch]
+            for name, future in futures:
+                record = future.result(timeout=120)[0]
+                with lock:
+                    results.setdefault(name, []).append(record)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submitter,
+                                        args=(names[index::6],))
+                       for index in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=180)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            for name in names:
+                del _REGISTRY[name]
+        assert sorted(results) == sorted(names)
+        for name, records in results.items():
+            assert len(records) == 1
+            assert records[0].ok and records[0].scenario == name
 
 
 class TestResultStore:
